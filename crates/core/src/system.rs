@@ -7,6 +7,7 @@
 //! channel-size distribution.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use pcn_placement::{CostParams, PlacementInstance, PlacementPlan, PlacementSolver};
 use pcn_routing::tu::Payment;
@@ -145,6 +146,11 @@ impl PreparedRun {
 /// Builder over a scenario; see the crate-level example.
 pub struct SystemBuilder {
     scenario: Scenario,
+    /// The multiwinner vote's overlap with the scenario's candidates,
+    /// computed on the first build. The vote reads only `scenario.flat`
+    /// and `scenario.candidates`, which nothing can change after `new`,
+    /// so every build of this builder shares one vote.
+    voting_overlap: OnceLock<f64>,
     omega: f64,
     solver: PlacementSolver,
     engine_cfg: EngineConfig,
@@ -155,11 +161,14 @@ pub struct SystemBuilder {
 }
 
 impl SystemBuilder {
-    /// Creates a builder with paper-default knobs (ω = 0.5, automatic
-    /// placement solver, default engine config).
+    /// Creates a builder with the default knobs: placement weight
+    /// ω = 0.04, automatic placement solver, default engine config, hub
+    /// capitalization ×20, 42 ms A2L crypto time, 40-token Flash
+    /// elephant threshold.
     pub fn new(scenario: Scenario) -> SystemBuilder {
         SystemBuilder {
             scenario,
+            voting_overlap: OnceLock::new(),
             omega: 0.04,
             solver: PlacementSolver::Auto,
             engine_cfg: EngineConfig::default(),
@@ -232,20 +241,22 @@ impl SystemBuilder {
     }
 
     fn voting_overlap(&self) -> f64 {
-        let elected = elect_candidates(
-            &self.scenario.flat.graph,
-            &self.scenario.flat.funds,
-            self.scenario.candidates.len(),
-            VotingWeights::default(),
-        );
-        if elected.is_empty() {
-            return 0.0;
-        }
-        let hits = elected
-            .iter()
-            .filter(|e| self.scenario.candidates.contains(e))
-            .count();
-        hits as f64 / elected.len() as f64
+        *self.voting_overlap.get_or_init(|| {
+            let elected = elect_candidates(
+                &self.scenario.flat.graph,
+                &self.scenario.flat.funds,
+                self.scenario.candidates.len(),
+                VotingWeights::default(),
+            );
+            if elected.is_empty() {
+                return 0.0;
+            }
+            let hits = elected
+                .iter()
+                .filter(|e| self.scenario.candidates.contains(e))
+                .count();
+            hits as f64 / elected.len() as f64
+        })
     }
 
     /// The hub backbone: a minimum-spanning skeleton over the hubs'
@@ -450,6 +461,13 @@ impl SystemBuilder {
     }
 }
 
+// The memoized vote must not cost the builder its thread safety, so a
+// builder can still be shared by harness worker threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SystemBuilder>();
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,6 +543,22 @@ mod tests {
     fn voting_overlap_reported() {
         let report = tiny_builder().build_spider().run();
         assert!((0.0..=1.0).contains(&report.voting_overlap));
+    }
+
+    #[test]
+    fn every_build_reports_one_vote() {
+        let builder = tiny_builder();
+        let overlaps: Vec<f64> = builder
+            .build_all()
+            .unwrap()
+            .into_iter()
+            .chain([builder.build_shortest_path()])
+            .map(|run| run.run().voting_overlap)
+            .collect();
+        let fresh = tiny_builder().build_a2l().run().voting_overlap;
+        for overlap in overlaps {
+            assert_eq!(overlap.to_bits(), fresh.to_bits());
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! flavoured committee selection. The paper leaves the optimal rule as
 //! future work; this captures both stated criteria.
 
-use pcn_graph::{bfs_hops, Graph};
+use pcn_graph::{bfs_hops, hop_sums, Graph};
 use pcn_routing::channel::NetworkFunds;
 use pcn_types::NodeId;
 
@@ -85,15 +85,12 @@ pub fn elect_candidates(
         })
         .collect();
     let max_funds = adjacent_funds.iter().fold(1.0f64, |a, &b| a.max(b));
-    // Closeness: 1 / (1 + mean hops to all nodes). BFS per node is O(VE)
-    // total; fine at candidate-list scale. For big graphs sample sources.
-    let closeness: Vec<f64> = (0..n)
-        .map(|i| {
-            let hops = bfs_hops(g, NodeId::from_index(i));
-            let (sum, cnt) = hops
-                .iter()
-                .filter(|&&h| h != u32::MAX && h > 0)
-                .fold((0u64, 0u64), |(s, c), &h| (s + u64::from(h), c + 1));
+    // Closeness: 1 / (1 + mean hops to all reachable nodes). `hop_sums`
+    // is one bit-parallel BFS per 64 sources, ⌈V/64⌉·levels·(V + E) word
+    // operations, so every node is scored exactly at paper scale.
+    let closeness: Vec<f64> = hop_sums(g)
+        .into_iter()
+        .map(|(sum, cnt)| {
             if cnt == 0 {
                 0.0
             } else {
@@ -109,26 +106,26 @@ pub fn elect_candidates(
         })
         .collect();
 
+    let diameter_norm = (n as f64).sqrt().max(1.0);
     let mut elected: Vec<NodeId> = Vec::new();
+    let mut is_elected = vec![false; n];
     let mut min_dist_to_elected: Vec<f64> = vec![f64::INFINITY; n];
     for _ in 0..committee_size {
-        let diameter_norm = (n as f64).sqrt().max(1.0);
-        let best = (0..n)
-            .filter(|&i| !elected.contains(&NodeId::from_index(i)))
-            .max_by(|&a, &b| {
-                let score = |i: usize| {
-                    let div = if elected.is_empty() {
-                        0.0
-                    } else {
-                        (min_dist_to_elected[i] / diameter_norm).min(1.0)
-                    };
-                    excellence[i] + weights.diversity * div
+        let best = (0..n).filter(|&i| !is_elected[i]).max_by(|&a, &b| {
+            let score = |i: usize| {
+                let div = if elected.is_empty() {
+                    0.0
+                } else {
+                    (min_dist_to_elected[i] / diameter_norm).min(1.0)
                 };
-                score(a).total_cmp(&score(b)).then(b.cmp(&a)) // lower id wins ties
-            });
+                excellence[i] + weights.diversity * div
+            };
+            score(a).total_cmp(&score(b)).then(b.cmp(&a)) // lower id wins ties
+        });
         let Some(winner) = best else { break };
         let w = NodeId::from_index(winner);
         elected.push(w);
+        is_elected[winner] = true;
         let hops = bfs_hops(g, w);
         for i in 0..n {
             let d = if hops[i] == u32::MAX {
@@ -147,6 +144,126 @@ mod tests {
     use super::*;
     use pcn_sim::SimRng;
     use pcn_types::Amount;
+    use pcn_workload::{Scenario, ScenarioParams};
+
+    /// Executable spec: the election as first written, with closeness
+    /// folded from one `bfs_hops` per source, the O(k) `contains` scan
+    /// and the per-round `diameter_norm`. Production must elect the same
+    /// committee in the same order.
+    fn elect_candidates_per_source(
+        g: &Graph,
+        funds: &NetworkFunds,
+        committee_size: usize,
+        weights: VotingWeights,
+    ) -> Vec<NodeId> {
+        let n = g.node_count();
+        if n == 0 || committee_size == 0 {
+            return Vec::new();
+        }
+        let committee_size = committee_size.min(n);
+        let degrees: Vec<f64> = (0..n)
+            .map(|i| g.degree(NodeId::from_index(i)) as f64)
+            .collect();
+        let max_degree = degrees.iter().fold(1.0f64, |a, &b| a.max(b));
+        let adjacent_funds: Vec<f64> = (0..n)
+            .map(|i| {
+                g.out_edges(NodeId::from_index(i))
+                    .map(|e| funds.total(e.id).to_tokens_f64())
+                    .sum::<f64>()
+            })
+            .collect();
+        let max_funds = adjacent_funds.iter().fold(1.0f64, |a, &b| a.max(b));
+        let closeness: Vec<f64> = (0..n)
+            .map(|i| {
+                let hops = bfs_hops(g, NodeId::from_index(i));
+                let (sum, cnt) = hops
+                    .iter()
+                    .filter(|&&h| h != u32::MAX && h > 0)
+                    .fold((0u64, 0u64), |(s, c), &h| (s + u64::from(h), c + 1));
+                if cnt == 0 {
+                    0.0
+                } else {
+                    1.0 / (1.0 + sum as f64 / cnt as f64)
+                }
+            })
+            .collect();
+        let excellence: Vec<f64> = (0..n)
+            .map(|i| {
+                weights.degree * degrees[i] / max_degree
+                    + weights.funds * adjacent_funds[i] / max_funds
+                    + weights.closeness * closeness[i]
+            })
+            .collect();
+        let mut elected: Vec<NodeId> = Vec::new();
+        let mut min_dist_to_elected: Vec<f64> = vec![f64::INFINITY; n];
+        for _ in 0..committee_size {
+            let diameter_norm = (n as f64).sqrt().max(1.0);
+            let best = (0..n)
+                .filter(|&i| !elected.contains(&NodeId::from_index(i)))
+                .max_by(|&a, &b| {
+                    let score = |i: usize| {
+                        let div = if elected.is_empty() {
+                            0.0
+                        } else {
+                            (min_dist_to_elected[i] / diameter_norm).min(1.0)
+                        };
+                        excellence[i] + weights.diversity * div
+                    };
+                    score(a).total_cmp(&score(b)).then(b.cmp(&a))
+                });
+            let Some(winner) = best else { break };
+            let w = NodeId::from_index(winner);
+            elected.push(w);
+            let hops = bfs_hops(g, w);
+            for i in 0..n {
+                let d = if hops[i] == u32::MAX {
+                    f64::INFINITY
+                } else {
+                    f64::from(hops[i])
+                };
+                min_dist_to_elected[i] = min_dist_to_elected[i].min(d);
+            }
+        }
+        elected
+    }
+
+    #[test]
+    fn matches_per_source_oracle_on_small_cases() {
+        let w = VotingWeights::default();
+        for g in [pcn_graph::star(10), pcn_graph::ring(12), pcn_graph::ring(4)] {
+            let funds = NetworkFunds::uniform(&g, Amount::from_tokens(5));
+            for k in [0, 1, 3, 4, 99] {
+                assert_eq!(
+                    elect_candidates(&g, &funds, k, w),
+                    elect_candidates_per_source(&g, &funds, k, w),
+                    "{} nodes, committee {k}",
+                    g.node_count()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_per_source_oracle_on_paper_scale_worlds() {
+        // The vote `SystemBuilder` runs: every node of a WS(3000, 8)
+        // world, one seat per scenario candidate.
+        for seed in 1..=2 {
+            let sc = Scenario::build(ScenarioParams {
+                seed,
+                ..ScenarioParams::large()
+            });
+            let (g, funds) = (&sc.flat.graph, &sc.flat.funds);
+            let k = sc.candidates.len();
+            let w = VotingWeights::default();
+            let elected = elect_candidates(g, funds, k, w);
+            assert_eq!(elected.len(), k);
+            assert_eq!(
+                elected,
+                elect_candidates_per_source(g, funds, k, w),
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn star_hub_elected_first() {

@@ -28,6 +28,14 @@
 //!   closure to capture exactly which channels a search consulted, the
 //!   dependency set that scopes live-state cache invalidation.
 //!
+//! # All-sources hop totals
+//!
+//! [`bfs_hops`] answers one source. [`hop_sums`] answers every source at
+//! once — per node, the total and count of hops to everything it reaches,
+//! which is what closeness centrality needs — with a bit-parallel
+//! multi-source BFS that advances 64 sources per pass as one `u64` per
+//! node. Its integers equal the per-source `bfs_hops` fold exactly.
+//!
 //! # Memory layout
 //!
 //! [`Graph`] stores adjacency in **compressed sparse row** (CSR) form: one
@@ -146,7 +154,7 @@ pub use accel::{
     edge_disjoint_shortest_paths_accel_in, k_shortest_paths_accel_in, shortest_path_accel_in,
     shortest_path_bidir_in, shortest_path_two_trees_in, AccelBounds, LandmarkTable,
 };
-pub use bfs::{bfs_hops, connected_components, is_connected};
+pub use bfs::{bfs_hops, connected_components, hop_sums, is_connected};
 pub use dijkstra::{
     shortest_path, shortest_path_in, shortest_path_tree, shortest_path_tree_in, ShortestPathTree,
 };

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) over the core invariants, spanning
 //! crates: channel conservation, TU splitting, Shamir round trips, path
-//! algorithm sanity, CSR/reference adjacency equivalence, Lemma-1
-//! optimality and event-queue backend equivalence.
+//! algorithm sanity, CSR/reference adjacency equivalence, all-sources
+//! hop totals, Lemma-1 optimality and event-queue backend equivalence.
 
 use pcn_crypto::{shamir, Fp};
 use pcn_graph::{edge_disjoint_widest_paths, Graph};
@@ -214,6 +214,64 @@ proptest! {
         let (gf, rf) = (max_flow(&g, s, t, cap), max_flow(&r, s, t, cap));
         prop_assert_eq!(gf.value, rf.value);
         prop_assert_eq!(gf.paths.len(), rf.paths.len());
+    }
+
+    /// `hop_sums`, the bit-parallel all-sources BFS behind the candidate
+    /// vote's closeness, equals the per-source `bfs_hops` fold integer for
+    /// integer, on the CSR [`Graph`] and on the [`ReferenceGraph`] alike,
+    /// under channel opens, closes, reopens and compactions. `n` spans
+    /// 60..200 so the 64-source batches end in a partial last batch, and
+    /// the last three nodes start isolated (churn may connect them later).
+    #[test]
+    fn hop_sums_match_per_source_bfs_under_churn(
+        n in 60usize..200,
+        edges in prop::collection::vec((0u32..200, 0u32..200), 0..400),
+        ops in prop::collection::vec((0u8..4, 0u32..40_000), 0..80),
+    ) {
+        use pcn_graph::{bfs_hops, hop_sums, ReferenceGraph};
+        use pcn_types::ChannelId;
+        let mut g = Graph::new(n);
+        let mut r = ReferenceGraph::new(n);
+        let wired = n - 3;
+        for (a, b) in edges {
+            let (a, b) = (a as usize % wired, b as usize % wired);
+            if a != b {
+                let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+                prop_assert_eq!(g.add_edge(a, b), r.add_edge(a, b));
+            }
+        }
+        for (op, x) in ops {
+            match op {
+                0 => {
+                    let id = ChannelId::new(x % (g.edge_count().max(1) as u32 + 2));
+                    let (gr, rr) = (g.close_channel(id), r.close_channel(id));
+                    prop_assert_eq!(gr.is_ok(), rr.is_ok());
+                }
+                1 => {
+                    let id = ChannelId::new(x % (g.edge_count().max(1) as u32 + 2));
+                    let (gr, rr) = (g.reopen_channel(id), r.reopen_channel(id));
+                    prop_assert_eq!(gr.is_ok(), rr.is_ok());
+                }
+                2 => {
+                    let (a, b) = ((x as usize) % n, (x as usize / n) % n);
+                    if a != b {
+                        let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+                        prop_assert_eq!(g.add_edge(a, b), r.add_edge(a, b));
+                    }
+                }
+                _ => g.compact(), // reference is always "compact"
+            }
+        }
+        let fold: Vec<(u64, u64)> = (0..n)
+            .map(|s| {
+                bfs_hops(&r, NodeId::from_index(s))
+                    .iter()
+                    .filter(|&&h| h != u32::MAX && h > 0)
+                    .fold((0, 0), |(sum, c), &h| (sum + u64::from(h), c + 1))
+            })
+            .collect();
+        prop_assert_eq!(&hop_sums(&g), &fold, "CSR graph diverged from the fold");
+        prop_assert_eq!(&hop_sums(&r), &fold, "reference graph diverged from the fold");
     }
 
     /// The goal-directed searches (bidirectional Dijkstra and the ALT
