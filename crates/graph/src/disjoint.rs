@@ -5,11 +5,20 @@
 //! edge-disjoint shortest paths is the standard construction used by PCN
 //! routers (channels are removed in *both* directions, since a channel's
 //! funds are shared infrastructure).
+//!
+//! The removed channels live in the [`SearchWorkspace`]'s channel marks
+//! (a generation-stamped set over channel ids), not in a per-call hash
+//! set. A removed channel is rejected *before* the caller's cost / width
+//! closure sees it, so a closure that records what it was consulted on
+//! (a [`crate::Footprint`]) records only channels still in play.
+//!
+//! With `from == to` both return at most the one zero-hop path, as
+//! [`crate::k_shortest_paths`] does: it has no channels to remove, so
+//! every later round would find it again.
 
-use std::collections::HashSet;
+use pcn_types::NodeId;
 
-use pcn_types::{ChannelId, NodeId};
-
+use crate::workspace::StampSet;
 use crate::{widest_path_in, EdgeRef, Path, SearchWorkspace, Topology};
 
 /// Up to `k` edge-disjoint shortest paths, found greedily (EDS).
@@ -87,20 +96,42 @@ where
         &mut dyn FnMut(EdgeRef) -> Option<f64>,
     ) -> Option<(f64, Path)>,
 {
-    let mut used: HashSet<ChannelId> = HashSet::new();
-    let mut paths = Vec::new();
-    for _ in 0..k {
-        let found = search(g, ws, from, to, &mut |e| {
-            if used.contains(&e.id) {
+    greedy_disjoint(ws, k, |ws, used| {
+        search(g, ws, from, to, &mut |e| {
+            if used.contains(e.id.index()) {
                 None
             } else {
                 cost(e)
             }
-        });
-        let Some((_, path)) = found else { break };
-        used.extend(path.channels().iter().copied());
+        })
+    })
+}
+
+/// The greedy removal loop shared by EDS and EDW: up to `k` rounds of
+/// `round(ws, used)`, each marking its path's channels as used. The
+/// channel marks are moved out of `ws` for the duration, so the round's
+/// search can borrow the rest of the workspace.
+fn greedy_disjoint<R>(ws: &mut SearchWorkspace, k: usize, mut round: R) -> Vec<Path>
+where
+    R: FnMut(&mut SearchWorkspace, &StampSet) -> Option<(f64, Path)>,
+{
+    let mut used = std::mem::take(&mut ws.channel_marks);
+    used.begin();
+    let mut paths = Vec::new();
+    for _ in 0..k {
+        let Some((_, path)) = round(ws, &used) else {
+            break;
+        };
+        for c in path.channels() {
+            used.insert(c.index());
+        }
+        let trivial = path.hops() == 0;
         paths.push(path);
+        if trivial {
+            break;
+        }
     }
+    ws.channel_marks = used;
     paths
 }
 
@@ -137,25 +168,21 @@ where
     G: Topology,
     F: FnMut(EdgeRef) -> Option<f64>,
 {
-    let mut used: HashSet<ChannelId> = HashSet::new();
-    let mut paths = Vec::new();
-    for _ in 0..k {
-        let found = widest_path_in(g, ws, from, to, |e| {
-            if used.contains(&e.id) {
+    greedy_disjoint(ws, k, |ws, used| {
+        widest_path_in(g, ws, from, to, |e| {
+            if used.contains(e.id.index()) {
                 None
             } else {
                 width(e)
             }
-        });
-        let Some((_, path)) = found else { break };
-        used.extend(path.channels().iter().copied());
-        paths.push(path);
-    }
-    paths
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::Graph;
 
@@ -249,6 +276,37 @@ mod tests {
                 assert_eq!(p.source(), from);
                 assert_eq!(p.target(), to);
             }
+        }
+    }
+
+    /// A self pair yields the one zero-hop path, as Yen's KSP does, not
+    /// `k` copies of it: the trivial path has no channels to remove.
+    #[test]
+    fn self_pair_returns_one_trivial_path() {
+        let g = crate::ring(5);
+        let mut ws = SearchWorkspace::new();
+        ws.prepare_landmarks(&g);
+        let ksp = crate::k_shortest_paths(&g, n(2), n(2), 4, |_| Some(1.0));
+        assert_eq!(ksp, vec![Path::trivial(n(2))]);
+        assert_eq!(
+            edge_disjoint_widest_paths(&g, n(2), n(2), 4, |_| Some(1.0)),
+            ksp
+        );
+        assert_eq!(
+            edge_disjoint_shortest_paths(&g, n(2), n(2), 4, |_| Some(1.0)),
+            ksp
+        );
+        for bounds in [crate::AccelBounds::Full, crate::AccelBounds::TopologyOnly] {
+            let eds = crate::edge_disjoint_shortest_paths_accel_in(
+                &g,
+                &mut ws,
+                n(2),
+                n(2),
+                4,
+                |_| Some(1.0),
+                bounds,
+            );
+            assert_eq!(eds, ksp);
         }
     }
 

@@ -143,6 +143,8 @@ mod generators;
 mod graph;
 mod maxflow;
 mod metrics;
+#[cfg(test)]
+mod oracle;
 mod path;
 mod reference;
 mod topology;
@@ -194,5 +196,26 @@ pub(crate) mod cost {
         fn cmp(&self, other: &Self) -> core::cmp::Ordering {
             self.0.total_cmp(&other.0)
         }
+    }
+
+    /// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]
+    /// order, so a float can lead a packed integer heap key. Bijective:
+    /// [`from_ord_bits`] recovers `x` bit for bit.
+    pub fn ord_bits(x: f64) -> u64 {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// Inverse of [`ord_bits`].
+    pub fn from_ord_bits(key: u64) -> f64 {
+        f64::from_bits(if key >> 63 == 1 {
+            key & !(1 << 63)
+        } else {
+            !key
+        })
     }
 }

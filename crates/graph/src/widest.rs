@@ -10,16 +10,37 @@ use std::collections::BinaryHeap;
 
 use pcn_types::{ChannelId, NodeId};
 
-use crate::cost::Cost;
+use crate::cost::{from_ord_bits, ord_bits};
 use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
 /// Reusable widest-path state: `(bottleneck, hops)` labels, parent
-/// forest and the max-heap.
+/// forest and the max-heap of packed [`heap_key`]s.
 #[derive(Debug, Default)]
 pub(crate) struct WidestScratch {
     best: Vec<(f64, u32)>,
     parent: Vec<Option<(NodeId, ChannelId)>>,
-    heap: BinaryHeap<(Cost, std::cmp::Reverse<u32>, NodeId)>,
+    heap: BinaryHeap<u128>,
+}
+
+/// The max-heap key of a `(bottleneck w, hops h, node)` entry, packed as
+/// `ord_bits(w) << 64 | (u32::MAX − h) << 32 | node`.
+///
+/// Unsigned order on the key is exactly the order of the tuple
+/// `(Cost(w), Reverse(h), node)`: wider first, then fewer hops, then the
+/// larger node id. One integer compare replaces a three-level one, and
+/// since the order is the same, the heap performs the same sifts and
+/// pops the same sequence, stale entries included.
+fn heap_key(w: f64, h: u32, node: NodeId) -> u128 {
+    u128::from(ord_bits(w)) << 64 | u128::from(u32::MAX - h) << 32 | u128::from(node.raw())
+}
+
+/// Inverse of [`heap_key`].
+fn unpack_key(key: u128) -> (f64, u32, NodeId) {
+    (
+        from_ord_bits((key >> 64) as u64),
+        u32::MAX - (key >> 32) as u32,
+        NodeId::new(key as u32),
+    )
 }
 
 /// Maximum-bottleneck path from `from` to `to`.
@@ -100,8 +121,9 @@ where
     let parent = &mut s.parent;
     let heap = &mut s.heap;
     best[from.index()] = (f64::INFINITY, 0);
-    heap.push((Cost(f64::INFINITY), std::cmp::Reverse(0), from));
-    while let Some((Cost(w), std::cmp::Reverse(h), u)) = heap.pop() {
+    heap.push(heap_key(f64::INFINITY, 0, from));
+    while let Some(key) = heap.pop() {
+        let (w, h, u) = unpack_key(key);
         let (bw, bh) = best[u.index()];
         if w < bw || (w == bw && h > bh) {
             continue; // stale
@@ -123,7 +145,7 @@ where
             if nw > cw || (nw == cw && nh < ch) {
                 best[e.to.index()] = (nw, nh);
                 parent[e.to.index()] = Some((u, e.id));
-                heap.push((Cost(nw), std::cmp::Reverse(nh), e.to));
+                heap.push(heap_key(nw, nh, e.to));
             }
         }
     }
@@ -150,10 +172,55 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::Cost;
     use crate::Graph;
 
     fn n(i: u32) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// The packed key orders `(w, h, node)` exactly as the tuple
+    /// `(Cost(w), Reverse(h), node)` it replaced, and unpacks to the
+    /// same bits, over random triples (any bit pattern as the width, with
+    /// `+∞`, signed zeros and subnormals mixed in) and ties on each
+    /// component.
+    #[test]
+    fn packed_key_orders_like_the_tuple() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::cmp::Reverse;
+        let mut rng = StdRng::seed_from_u64(29);
+        let specials = [
+            f64::INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 8.0, // subnormal
+            f64::from_bits(1),       // smallest subnormal
+            f64::MAX,
+            1.0,
+            2.0,
+        ];
+        let triples: Vec<(f64, u32, NodeId)> = (0..300)
+            .map(|_| {
+                let w = if rng.random_bool(0.5) {
+                    specials[rng.random_range(0..specials.len())]
+                } else {
+                    f64::from_bits(rng.random::<u64>())
+                };
+                let h = [0, 1, 2, u32::MAX - 1, rng.random::<u32>()][rng.random_range(0..5usize)];
+                let node = [0, 1, u32::MAX, rng.random::<u32>()][rng.random_range(0..4usize)];
+                (w, h, NodeId::new(node))
+            })
+            .collect();
+        for &(w, h, v) in &triples {
+            let (uw, uh, uv) = unpack_key(heap_key(w, h, v));
+            assert_eq!((uw.to_bits(), uh, uv), (w.to_bits(), h, v));
+            for &(w2, h2, v2) in &triples {
+                let tuple = (Cost(w), Reverse(h), v).cmp(&(Cost(w2), Reverse(h2), v2));
+                assert_eq!(heap_key(w, h, v).cmp(&heap_key(w2, h2, v2)), tuple);
+            }
+        }
     }
 
     #[test]

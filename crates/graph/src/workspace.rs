@@ -12,6 +12,18 @@
 //! graph's size (only the returned [`crate::Path`]s still allocate —
 //! they are the query's output).
 //!
+//! The path-set loops (greedy EDS/EDW, Yen's KSP) also keep their
+//! exclusion sets here, as two generation-stamped mark sets over dense
+//! ids instead of a hash set per call:
+//!
+//! * **channel marks** — the channels an EDS/EDW round has already used,
+//!   or the channels a Yen spur search may not leave its spur node by;
+//! * **node marks** — the root-prefix nodes a Yen spur search may not
+//!   enter.
+//!
+//! Clearing either is one generation bump, and a membership probe is
+//! one bounds-checked load and one compare.
+//!
 //! Reuse is **semantics-preserving**: each search fully re-initializes
 //! the state it reads, so a warm workspace returns bit-identical results
 //! to a cold one. The workspace is deliberately not `Clone`/`Send`-shared:
@@ -50,6 +62,48 @@ pub struct SearchWorkspace {
     pub(crate) maxflow: MaxFlowScratch,
     pub(crate) accel: AccelScratch,
     pub(crate) landmarks: LandmarkTable,
+    /// Channel marks of the path-set loops (used / banned channels).
+    pub(crate) channel_marks: StampSet,
+    /// Node marks of Yen's spur searches (banned root nodes).
+    pub(crate) node_marks: StampSet,
+}
+
+/// A set of dense indices (channel or node ids) that empties in O(1).
+///
+/// Each slot holds the generation that last inserted it; an index is a
+/// member iff its stamp equals the current generation. [`StampSet::begin`]
+/// starts a new, empty generation; the stamps are only rewritten when the
+/// `u32` generation wraps. Slots grow on demand in [`StampSet::insert`],
+/// because ids minted after the set warmed up (newly opened channels,
+/// added nodes) are larger than any slot seen so far.
+#[derive(Debug, Default)]
+pub(crate) struct StampSet {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl StampSet {
+    /// Empties the set. Must precede the first `insert` of every use,
+    /// so generation 0 (the stamp of never-inserted slots) is never
+    /// current.
+    pub(crate) fn begin(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+    }
+
+    pub(crate) fn insert(&mut self, index: usize) {
+        if index >= self.stamps.len() {
+            self.stamps.resize(index + 1, 0);
+        }
+        self.stamps[index] = self.generation;
+    }
+
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.stamps.get(index) == Some(&self.generation)
+    }
 }
 
 impl SearchWorkspace {
@@ -82,8 +136,39 @@ impl SearchWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{k_shortest_paths_in, max_flow_in, widest_path_in, Graph};
+    use crate::{
+        edge_disjoint_shortest_paths_accel_in, edge_disjoint_shortest_paths_in,
+        edge_disjoint_widest_paths_in, k_shortest_paths_accel_in, k_shortest_paths_in, max_flow_in,
+        widest_path_in, Graph,
+    };
     use pcn_types::NodeId;
+
+    /// Membership stays exact across the `u32` generation wrap: stamps
+    /// from the last generations before it must not read as members
+    /// after it, and a slot stamped at the wrap's new generation long
+    /// ago (generation 1) must not either. Inserting past the last slot
+    /// grows the set; probing past it is a non-member.
+    #[test]
+    fn stamp_set_survives_generation_wrap() {
+        let mut s = StampSet::default();
+        s.begin(); // generation 1
+        s.insert(5);
+        s.generation = u32::MAX - 1;
+        s.begin(); // generation u32::MAX
+        s.insert(3);
+        assert!(s.contains(3) && !s.contains(5));
+        s.begin(); // wraps: stamps zeroed, generation 1 again
+        assert_eq!(s.generation, 1);
+        for i in 0..8 {
+            assert!(!s.contains(i), "slot {i} survived the wrap");
+        }
+        s.insert(4);
+        assert!(s.contains(4) && !s.contains(3) && !s.contains(5));
+        s.begin();
+        assert!(!s.contains(4));
+        s.insert(40); // past every slot so far: grows
+        assert!(s.contains(40) && !s.contains(39) && !s.contains(1_000));
+    }
 
     /// A warm workspace must stay bit-identical to a cold one when the
     /// graph it searches **changes size between queries** — nodes and
@@ -128,10 +213,34 @@ mod tests {
             let warm_w = widest_path_in(g, warm, from, to, width);
             let cold_w = widest_path_in(g, &mut cold, from, to, width);
             assert_eq!(warm_w, cold_w, "widest_path_in diverged: {label}");
+            let cold_ksp = k_shortest_paths_in(g, &mut cold, from, to, 3, cost);
             assert_eq!(
                 k_shortest_paths_in(g, warm, from, to, 3, cost),
-                k_shortest_paths_in(g, &mut cold, from, to, 3, cost),
+                cold_ksp,
                 "k_shortest_paths_in diverged: {label}"
+            );
+            let cold_eds = edge_disjoint_shortest_paths_in(g, &mut cold, from, to, 3, cost);
+            assert_eq!(
+                edge_disjoint_shortest_paths_in(g, warm, from, to, 3, cost),
+                cold_eds,
+                "edge_disjoint_shortest_paths_in diverged: {label}"
+            );
+            for bounds in [crate::AccelBounds::Full, crate::AccelBounds::TopologyOnly] {
+                assert_eq!(
+                    k_shortest_paths_accel_in(g, warm, from, to, 3, cost, |_| false, bounds),
+                    cold_ksp,
+                    "k_shortest_paths_accel_in diverged: {label} {bounds:?}"
+                );
+                assert_eq!(
+                    edge_disjoint_shortest_paths_accel_in(g, warm, from, to, 3, cost, bounds),
+                    cold_eds,
+                    "edge_disjoint_shortest_paths_accel_in diverged: {label} {bounds:?}"
+                );
+            }
+            assert_eq!(
+                edge_disjoint_widest_paths_in(g, warm, from, to, 3, width),
+                edge_disjoint_widest_paths_in(g, &mut cold, from, to, 3, width),
+                "edge_disjoint_widest_paths_in diverged: {label}"
             );
             let cap = |_| Some(5u64);
             let warm_f = max_flow_in(g, warm, from, to, cap);

@@ -1,8 +1,14 @@
 //! Yen's algorithm for loopless k-shortest paths (KSP in Table II).
+//!
+//! Each spur search runs with two exclusion sets: the channels the
+//! already-found paths with the same root leave the spur node by, and the
+//! root's nodes before the spur node. Both live in the
+//! [`SearchWorkspace`] (its channel and node marks, generation-stamped
+//! sets over dense ids), so a spur costs no allocation and an arc probe
+//! costs no hashing. An excluded edge is rejected *before* the caller's
+//! cost closure sees it.
 
-use std::collections::HashSet;
-
-use pcn_types::{ChannelId, NodeId};
+use pcn_types::NodeId;
 
 use crate::{EdgeRef, Path, SearchWorkspace, Topology};
 
@@ -122,14 +128,20 @@ where
         return Vec::new();
     };
     let mut accepted: Vec<(f64, Path)> = vec![(first_cost, first)];
-    // Candidate set; keyed by node sequence to avoid duplicates.
+    // Candidate set, plus every node sequence ever generated (Yen treats
+    // paths as node sequences, so a repeat is dropped). Few enough — at
+    // most one per spur — that a linear scan beats hashing.
     let mut candidates: Vec<(f64, Path)> = Vec::new();
-    let mut seen: HashSet<Vec<NodeId>> = HashSet::new();
-    seen.insert(accepted[0].1.nodes().to_vec());
+    let mut seen: Vec<Vec<NodeId>> = vec![accepted[0].1.nodes().to_vec()];
     if until(&accepted[0].1) {
         return accepted.into_iter().map(|(_, p)| p).collect();
     }
 
+    // Moved out so the spur closure can read them while `search`
+    // borrows the workspace; restored after the loop (which has no early
+    // return).
+    let mut banned_channels = std::mem::take(&mut ws.channel_marks);
+    let mut banned_nodes = std::mem::take(&mut ws.node_marks);
     while accepted.len() < k {
         let (_, last) = accepted.last().expect("accepted is non-empty").clone();
         // Deviate at every node of the last accepted path except the target.
@@ -138,19 +150,22 @@ where
             let root = last.prefix(i);
             // Channels to ban: the edge each accepted/candidate path with the
             // same root takes out of the spur node.
-            let mut banned_channels: HashSet<ChannelId> = HashSet::new();
+            banned_channels.begin();
             for (_, p) in accepted.iter().chain(candidates.iter()) {
                 if p.hops() > i && p.nodes()[..=i] == root.nodes()[..] {
-                    banned_channels.insert(p.channels()[i]);
+                    banned_channels.insert(p.channels()[i].index());
                 }
             }
             // Nodes on the root (except the spur node) are banned to keep
             // paths loopless.
-            let banned_nodes: HashSet<NodeId> = root.nodes()[..i].iter().copied().collect();
+            banned_nodes.begin();
+            for v in &root.nodes()[..i] {
+                banned_nodes.insert(v.index());
+            }
             let spur = search(g, ws, spur_node, to, &mut |e| {
-                if banned_channels.contains(&e.id)
-                    || banned_nodes.contains(&e.to)
-                    || banned_nodes.contains(&e.from)
+                if banned_channels.contains(e.id.index())
+                    || banned_nodes.contains(e.to.index())
+                    || banned_nodes.contains(e.from.index())
                 {
                     None
                 } else {
@@ -159,7 +174,8 @@ where
             });
             if let Some((_, spur_path)) = spur {
                 let total = root.clone().join(spur_path);
-                if seen.insert(total.nodes().to_vec()) {
+                if !seen.iter().any(|s| s[..] == *total.nodes()) {
+                    seen.push(total.nodes().to_vec());
                     let total_cost: f64 = total
                         .hops_iter()
                         .map(|(f, c, t)| {
@@ -192,6 +208,8 @@ where
             break;
         }
     }
+    ws.channel_marks = banned_channels;
+    ws.node_marks = banned_nodes;
     accepted.into_iter().map(|(_, p)| p).collect()
 }
 
