@@ -136,7 +136,7 @@ impl PlacementInstance {
         for a in 0..n {
             for b in 0..n {
                 if a != b {
-                    let h = hop(&hops_from[a], self_or(candidates[b]));
+                    let h = hop(&hops_from[a], candidates[b]);
                     delta[a][b] = params.delta_per_hop * h;
                     eps[a][b] = params.eps_per_hop * h;
                 }
@@ -255,11 +255,6 @@ impl PlacementInstance {
             * (self.num_clients() as f64 + 1.0);
         10.0 * (1.0 + zeta_max * self.num_clients() as f64 + self.omega * sync_max)
     }
-}
-
-/// Identity helper used to keep `from_graph` readable.
-fn self_or(n: NodeId) -> NodeId {
-    n
 }
 
 #[cfg(test)]

@@ -17,7 +17,10 @@
 //! * [`assignment::optimal_assignment`] — Lemma 1: the closed-form optimal
 //!   `y` for a fixed placement `x`.
 //! * [`exact::solve_exhaustive`] — exhaustive subset enumeration (ground
-//!   truth for small candidate sets).
+//!   truth for small candidate sets): an allocation-free screen prices
+//!   every subset, and [`assignment::balance_cost_for`] re-prices only
+//!   those within a proven rounding tolerance of the best, so the chosen
+//!   subset is the plain enumeration's bit for bit.
 //! * [`milp_form::solve_milp`] — the standard-linearization MILP (eqs.
 //!   6–10) solved by this workspace's own branch-and-bound solver
 //!   (§IV-C "small-scale optimal solution").

@@ -59,24 +59,23 @@ impl PlacementSolver {
 /// The double greedy can in principle return the empty set when every
 /// marginal says "remove" (possible only under degenerate cost matrices);
 /// clients still need a hub, so fall back to the single best candidate.
-fn ensure_nonempty(inst: &PlacementInstance, members: Vec<bool>) -> Vec<bool> {
+fn ensure_nonempty(inst: &PlacementInstance, mut members: Vec<bool>) -> Vec<bool> {
     if members.iter().any(|&b| b) {
         return members;
     }
-    let n = inst.num_candidates();
-    let best = (0..n)
-        .min_by(|&a, &b| {
-            let mut ma = vec![false; n];
-            ma[a] = true;
-            let mut mb = vec![false; n];
-            mb[b] = true;
-            crate::assignment::balance_cost_for(inst, &ma)
-                .total_cmp(&crate::assignment::balance_cost_for(inst, &mb))
+    let singleton_cost: Vec<f64> = (0..members.len())
+        .map(|c| {
+            members[c] = true;
+            let cost = crate::assignment::balance_cost_for(inst, &members);
+            members[c] = false;
+            cost
         })
+        .collect();
+    let best = (0..members.len())
+        .min_by(|&a, &b| singleton_cost[a].total_cmp(&singleton_cost[b]))
         .expect("at least one candidate");
-    let mut out = vec![false; n];
-    out[best] = true;
-    out
+    members[best] = true;
+    members
 }
 
 #[cfg(test)]
@@ -120,6 +119,27 @@ mod tests {
         // not pick MILP (guarded) and must return something sane quickly.
         let plan = PlacementSolver::Auto.solve(&big, &mut rng).unwrap();
         assert!(!plan.hubs().is_empty());
+    }
+
+    #[test]
+    fn ensure_nonempty_places_the_first_cheapest_singleton() {
+        // Singletons cost 7, 4, 4 (ζ only: one client, no sync pairs):
+        // the first of the tied cheapest wins.
+        let inst = PlacementInstance::from_matrices(
+            vec![NodeId::new(9)],
+            (0..3).map(NodeId::new).collect(),
+            vec![vec![7.0, 4.0, 4.0]],
+            vec![vec![0.0; 3]; 3],
+            vec![vec![0.0; 3]; 3],
+            1.0,
+        )
+        .unwrap();
+        assert_eq!(ensure_nonempty(&inst, vec![false; 3]), [false, true, false]);
+        // A non-empty placement passes through untouched.
+        assert_eq!(
+            ensure_nonempty(&inst, vec![true, false, true]),
+            [true, false, true]
+        );
     }
 
     #[test]
